@@ -69,12 +69,18 @@ grep -q 'handover' results/smoke_drive.txt
 # Fleet smoke gate: ~200 concurrent sessions through SFU bottlenecks in
 # the sharded fleet engine with the control-loop invariant checker armed
 # on every member; the stdout fold must carry the QoE-fairness quantiles.
+# The same cell on one shard must print a byte-identical fold: shards
+# claim whole conferences, and which shard ran which must not show.
 cargo run --release -p converge-bench --bin experiments -- \
     fleet --quick --sessions 200 --conference-size 4 --shards 2 \
     --check-invariants > results/smoke_fleet.txt
 test -s results/smoke_fleet.txt
 grep -q '^qoe|p5=' results/smoke_fleet.txt
 grep -q '^total|decoded=' results/smoke_fleet.txt
+cargo run --release -p converge-bench --bin experiments -- \
+    fleet --quick --sessions 200 --conference-size 4 --shards 1 \
+    --check-invariants > results/smoke_fleet_1shard.txt
+cmp results/smoke_fleet.txt results/smoke_fleet_1shard.txt
 
 # Idle-skip equivalence gate: chaos + drive scenario generators, idle-skip
 # off vs on must produce byte-identical trace streams and QoE folds. The

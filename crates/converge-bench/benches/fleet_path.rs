@@ -1,13 +1,16 @@
 //! Criterion micro-benches for the fleet engine's hot path: timer-wheel
-//! insert/advance, the shared event queue under fleet-shaped churn, and
-//! SFU ingress/fan-out offers. These are the per-event costs that bound
-//! sessions-per-core at fleet scale.
+//! insert/advance, a shard's event queue under one conference's churn,
+//! and SFU ingress/fan-out offers. These are the per-event costs that
+//! bound sessions-per-core at fleet scale. Each group names the ledger
+//! metrics (perfbench `fleet_sfu`) whose layer it models.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use converge_net::event::EventQueue;
 use converge_net::{PathId, SfuConfig, SfuNode, SimTime, TimerWheel};
 
+/// Models the `net.wheel.*` layer (`net.wheel.high_water`,
+/// `net.wheel.cascades`): pacer, frame, and RTCP ticks.
 fn bench_timer_wheel(c: &mut Criterion) {
     let mut group = c.benchmark_group("timer_wheel");
 
@@ -55,12 +58,15 @@ fn bench_timer_wheel(c: &mut Criterion) {
     group.finish();
 }
 
+/// Models the `net.queue.high_water` layer: a shard's in-flight packet
+/// queue, which holds one conference at a time.
 fn bench_shard_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_queue");
 
-    // Push/drain churn at the depths a shard sees: one conference in
-    // flight (~100s of packet events) up to a full batch of conferences.
-    for depth in [128usize, 2048, 16384] {
+    // Push/drain churn at the depths a shard sees: one conference's
+    // in-flight packets, from a quiet call (~100s of events) up to
+    // members sitting behind full access and SFU queues (~2k).
+    for depth in [128usize, 512, 2048] {
         group.bench_with_input(BenchmarkId::new("push_pop_due", depth), &depth, |b, &depth| {
             let mut q: EventQueue<u64> = EventQueue::new();
             for i in 0..depth {
@@ -78,8 +84,8 @@ fn bench_shard_queue(c: &mut Criterion) {
         });
     }
 
-    // Batch reset: clearing a drained queue between conference batches
-    // must keep its allocations (O(1) amortized, no refill cost).
+    // Reset between conferences: clearing a drained queue must keep its
+    // allocations (O(1) amortized, no refill cost).
     group.bench_function("clear_reuse_1024", |b| {
         let mut q: EventQueue<u64> = EventQueue::new();
         b.iter(|| {
@@ -93,6 +99,8 @@ fn bench_shard_queue(c: &mut Criterion) {
     group.finish();
 }
 
+/// Models the `net.sfu.*` layer (`net.sfu.fanout_pkts`,
+/// `net.sfu.ingress_drop_frac`): the shared ingress and egress links.
 fn bench_sfu_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("sfu_fanout");
 

@@ -2,8 +2,8 @@
 //!
 //! Unlike the figure regenerators, the fleet experiment does not decompose
 //! into `Cell × seed` sweep jobs: one invocation *is* one run of the
-//! sharded [`FleetEngine`], which already multiplexes every session into
-//! shared event machinery. The `experiments` binary special-cases the
+//! sharded [`FleetEngine`], whose worker shards already run every
+//! conference on reused event machinery. The `experiments` binary special-cases the
 //! `fleet` target onto [`run_fleet`].
 //!
 //! The report's fold section comes verbatim from

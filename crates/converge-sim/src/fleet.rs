@@ -1,15 +1,23 @@
 //! Fleet-scale session engine: thousands of concurrent conference calls
-//! multiplexed into shared discrete-event machinery.
+//! run back to back on a few worker shards that reuse their event
+//! machinery.
 //!
 //! [`Session`](crate::Session) runs one call with its own event queue,
-//! timer set, and emulator. At fleet scale that per-call machinery is the
-//! bottleneck: N sessions mean N heaps to poll and N × (rings + queues) of
-//! memory even though almost every session is idle at any given instant.
-//! [`FleetEngine`] instead drives whole *batches* of conferences through
-//! one shared [`EventQueue`] (in-flight packets) plus one shared
-//! [`TimerWheel`] (pacer, frame, and RTCP ticks), so the scheduler cost is
-//! O(due events), not O(sessions), and the arena-backed queue keeps memory
-//! proportional to in-flight packets rather than to session count.
+//! timer set, and emulator. [`FleetEngine`] gives each worker shard one
+//! [`EventQueue`] (in-flight packets) and one [`TimerWheel`] (pacer,
+//! frame, and RTCP ticks) and makes the conference the shard's unit of
+//! work: a shard claims the next conference index, builds that
+//! conference, runs it to completion, finalizes its report, clears the
+//! queue and wheel (keeping their allocations), and claims the next. A
+//! shard holds one conference's state at a time, so fleet memory is
+//! O(shards × one conference), not O(sessions).
+//!
+//! That unit is chosen from measurement. Multiplexing many conferences
+//! into one shard queue gives the same fold, but the queue then holds
+//! every member's in-flight packets (each member sits behind deep access
+//! and SFU queues) and the interleaved members' rings and state miss
+//! cache on every event: the working set, not the event count, is the
+//! cost.
 //!
 //! ## Topology
 //!
@@ -25,10 +33,11 @@
 //! ## Determinism across shard counts
 //!
 //! Conferences never share mutable state — the SFU, SBD detector, and all
-//! member state are per-conference — so a conference's event subsequence
-//! is invariant to how conferences are interleaved in a shard's queue.
-//! Batches are distributed over worker shards by work-stealing and the
-//! results merged back in conference-index order, which makes the
+//! member state are per-conference — and member seeds and timer staggers
+//! derive from global conference/member indices. A conference's outcome
+//! therefore depends only on its index and the config: not on which
+//! shard runs it, and not on how many other conferences the fleet holds.
+//! Outcomes are merged back in conference-index order, which makes the
 //! aggregate fold byte-identical for any shard count. Wall-clock numbers
 //! never enter [`FleetReport::fold_text`].
 //!
@@ -78,10 +87,8 @@ pub struct FleetConfig {
     /// Members per conference (≥ 2; the last conference may be smaller).
     pub conference_size: usize,
     /// Worker shards. Each shard owns one reusable event queue + timer
-    /// wheel and steals conference batches until none remain.
+    /// wheel and claims conferences one at a time until none remain.
     pub shards: usize,
-    /// Conferences per batch (the work-stealing granule).
-    pub batch_conferences: usize,
     /// Call duration.
     pub duration: SimDuration,
     /// Master seed; per-member seeds are split deterministically from it.
@@ -115,7 +122,6 @@ impl FleetConfig {
             sessions,
             conference_size: conference_size.max(2),
             shards: 1,
-            batch_conferences: 32,
             duration: SimDuration::from_secs(20),
             seed: 1,
             bottleneck_ingress_bps: 8_000_000,
@@ -171,14 +177,13 @@ fn member_paths(seed: u64) -> Vec<Path> {
     ]
 }
 
-/// Events in the shared per-shard queue. Keyed by `(time, seq)` in the
-/// queue itself; the payload names the conference/member so processing
-/// can route straight to the owning state.
+/// Events in a shard's queue. Keyed by `(time, seq)` in the queue
+/// itself; the queue only ever holds the running conference, so the
+/// payload names just the member.
 #[derive(Debug)]
 enum FleetEvent {
     /// A packet finished crossing one of a member's private paths.
     Deliver {
-        conf: u32,
         member: MemberId,
         path: PathId,
         direction: Direction,
@@ -187,7 +192,6 @@ enum FleetEvent {
     /// An uplink packet cleared the conference's shared ingress
     /// bottleneck and reached the SFU.
     SfuIngress {
-        conf: u32,
         member: MemberId,
         path: PathId,
         rtp: SimRtp,
@@ -195,13 +199,12 @@ enum FleetEvent {
     /// A fan-out copy cleared the shared egress bottleneck and reached a
     /// viewer.
     SfuEgress {
-        conf: u32,
         dest: MemberId,
         fwd: ForwardPacket,
     },
 }
 
-/// Ticks in the shared timer wheel. `Copy` and 8 bytes: idle sessions
+/// Ticks in a shard's timer wheel. `Copy` and 4 bytes: idle sessions
 /// cost exactly their wheel slots, nothing else.
 #[derive(Debug, Clone, Copy)]
 enum TickKind {
@@ -215,33 +218,33 @@ enum TickKind {
 
 #[derive(Debug, Clone, Copy)]
 struct TimerEvent {
-    conf: u32,
     member: MemberId,
     kind: TickKind,
 }
 
-/// Occupancy counters of one shard's shared machinery (satellite
-/// telemetry: cheap reads of the high-water accessors, LinkStats-style).
+/// Occupancy counters of one shard's event machinery (cheap reads of the
+/// high-water accessors, LinkStats-style).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
-    /// High-water mark of the shared event queue's payload arena.
+    /// High-water mark of the event queue's payload arena: the most
+    /// in-flight packets any one conference on this shard had.
     pub queue_high_water: usize,
     /// Timer-wheel load counters (pending high-water, cascades, overflow).
     pub wheel: TimerWheelStats,
-    /// Conference batches this shard ran (work-stealing share).
+    /// Conferences this shard ran (its work-stealing share).
     pub batches: u64,
 }
 
-/// One shard's reusable event machinery. A shard runs many conference
-/// batches back to back; `reset` clears the queue and wheel but keeps
+/// One shard's reusable event machinery. A shard runs conferences one at
+/// a time; `reset` clears the queue and wheel between them but keeps
 /// their allocations and high-water stats, so arenas are paid for once
-/// per shard, not once per conference.
+/// per shard, not once per conference, and hold one conference's events.
 struct ShardCore {
     queue: EventQueue<FleetEvent>,
     wheel: TimerWheel<TimerEvent>,
     due: Vec<(SimTime, TimerEvent)>,
     paced: Vec<OutboundPacket>,
-    batches: u64,
+    conferences: u64,
 }
 
 impl ShardCore {
@@ -251,7 +254,7 @@ impl ShardCore {
             wheel: TimerWheel::new(),
             due: Vec::new(),
             paced: Vec::new(),
-            batches: 0,
+            conferences: 0,
         }
     }
 
@@ -260,14 +263,14 @@ impl ShardCore {
         self.wheel.clear();
         self.due.clear();
         self.paced.clear();
-        self.batches += 1;
+        self.conferences += 1;
     }
 
     fn stats(&self) -> ShardStats {
         ShardStats {
             queue_high_water: self.queue.high_water(),
             wheel: self.wheel.stats(),
-            batches: self.batches,
+            batches: self.conferences,
         }
     }
 }
@@ -467,7 +470,7 @@ impl FleetReport {
     /// The deterministic fold: per-conference aggregates merged in
     /// conference-index order plus fleet totals and QoE quantiles. No
     /// wall-clock and no shard-dependent counters — byte-identical for
-    /// any shard count and any batch size.
+    /// any shard count.
     pub fn fold_text(&self) -> String {
         let mut out = String::with_capacity(64 + self.conferences.len() * 160);
         out.push_str(&format!(
@@ -555,72 +558,52 @@ impl FleetEngine {
         let cfg = self.config;
         assert!(cfg.sessions > 0, "a fleet needs at least one session");
         let n_conf = cfg.conference_count();
-        let batch = cfg.batch_conferences.max(1);
-        let n_batches = n_conf.div_ceil(batch);
-        let shards = cfg.shards.max(1).min(n_batches);
+        let shards = cfg.shards.max(1).min(n_conf);
 
-        let mut outcomes: Vec<Option<Vec<ConferenceOutcome>>> = Vec::new();
-        outcomes.resize_with(n_batches, || None);
-        let mut shard_stats = Vec::new();
-
-        if shards == 1 {
-            let mut core = ShardCore::new();
-            for (b, slot) in outcomes.iter_mut().enumerate() {
-                let first = b * batch;
-                let count = batch.min(n_conf - first);
-                core.reset();
-                *slot = Some(run_batch(&mut core, &cfg, first, count));
-            }
-            shard_stats.push(core.stats());
-        } else {
-            // One shard's claimed batches (tagged with their batch index
-            // for the deterministic merge) plus its occupancy stats.
-            type ShardYield = (Vec<(usize, Vec<ConferenceOutcome>)>, ShardStats);
-            let next = AtomicUsize::new(0);
-            let collected: Vec<ShardYield> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut core = ShardCore::new();
-                            let mut mine = Vec::new();
-                            loop {
-                                let b = next.fetch_add(1, Ordering::Relaxed);
-                                if b >= n_batches {
-                                    break;
-                                }
-                                let first = b * batch;
-                                let count = batch.min(n_conf - first);
-                                core.reset();
-                                mine.push((b, run_batch(&mut core, &cfg, first, count)));
+        // Each shard claims the next conference index, runs that
+        // conference to completion on its reused core, and claims again.
+        // Outcomes are tagged with their index for the deterministic merge.
+        type ShardYield = (Vec<(usize, ConferenceOutcome)>, ShardStats);
+        let next = AtomicUsize::new(0);
+        let collected: Vec<ShardYield> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..shards)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut core = ShardCore::new();
+                        let mut mine = Vec::new();
+                        loop {
+                            let conf = next.fetch_add(1, Ordering::Relaxed);
+                            if conf >= n_conf {
+                                break;
                             }
-                            (mine, core.stats())
-                        })
+                            mine.push((conf, run_conference(&mut core, &cfg, conf as u32)));
+                        }
+                        (mine, core.stats())
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleet shard panicked"))
-                    .collect()
-            });
-            for (mine, stats) in collected {
-                for (b, o) in mine {
-                    outcomes[b] = Some(o);
-                }
-                shard_stats.push(stats);
-            }
-        }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fleet shard panicked"))
+                .collect()
+        });
 
         // Deterministic merge: conference-index order, regardless of
-        // which shard ran which batch.
+        // which shard ran which conference.
+        let mut outcomes = Vec::with_capacity(n_conf);
+        let mut shard_stats = Vec::with_capacity(shards);
+        for (mine, stats) in collected {
+            outcomes.extend(mine);
+            shard_stats.push(stats);
+        }
+        outcomes.sort_unstable_by_key(|&(conf, _)| conf);
         let mut conferences = Vec::with_capacity(n_conf);
         let mut sampled_traces = Vec::new();
         let mut violations = 0;
-        for slot in outcomes {
-            for o in slot.expect("batch never ran") {
-                conferences.push(o.report);
-                sampled_traces.extend(o.traces);
-                violations += o.violations;
-            }
+        for (_, o) in outcomes {
+            conferences.push(o.report);
+            sampled_traces.extend(o.traces);
+            violations += o.violations;
         }
 
         FleetReport {
@@ -705,20 +688,20 @@ fn build_conference(
         for s in 0..cfg.streams {
             wheel.schedule(
                 SimTime::ZERO + stagger + SimDuration::from_micros(s as u64 * 3_000),
-                TimerEvent { conf, member: m, kind: TickKind::Frame(s) },
+                TimerEvent { member: m, kind: TickKind::Frame(s) },
             );
         }
         wheel.schedule(
             SimTime::from_millis(50) + stagger,
-            TimerEvent { conf, member: m, kind: TickKind::ReceiverRtcp },
+            TimerEvent { member: m, kind: TickKind::ReceiverRtcp },
         );
         wheel.schedule(
             SimTime::from_millis(60) + stagger,
-            TimerEvent { conf, member: m, kind: TickKind::TransportRtcp },
+            TimerEvent { member: m, kind: TickKind::TransportRtcp },
         );
         wheel.schedule(
             SimTime::from_millis(40) + stagger,
-            TimerEvent { conf, member: m, kind: TickKind::SenderRtcp },
+            TimerEvent { member: m, kind: TickKind::SenderRtcp },
         );
 
         members.push(SessionState {
@@ -740,7 +723,7 @@ fn build_conference(
     if let Some(d) = &sbd {
         wheel.schedule(
             SimTime::ZERO + d.interval() + SimDuration::from_micros((conf as u64 % 97) * 211),
-            TimerEvent { conf, member: 0, kind: TickKind::Sbd },
+            TimerEvent { member: 0, kind: TickKind::Sbd },
         );
     }
     let trace = members[0].trace.clone();
@@ -754,18 +737,12 @@ fn build_conference(
     }
 }
 
-/// Runs conferences `[first, first + count)` through the shard's shared
-/// queue and wheel, and finalizes their reports.
-fn run_batch(
-    core: &mut ShardCore,
-    cfg: &FleetConfig,
-    first: usize,
-    count: usize,
-) -> Vec<ConferenceOutcome> {
+/// Clears the shard's queue and wheel, then builds conference `conf` on
+/// them, runs it to completion, and finalizes its report.
+fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> ConferenceOutcome {
+    core.reset();
     let ShardCore { queue, wheel, due, paced, .. } = core;
-    let mut confs: Vec<ConferenceState> = (0..count)
-        .map(|i| build_conference(cfg, (first + i) as u32, wheel))
-        .collect();
+    let mut cs = build_conference(cfg, conf, wheel);
 
     let format = converge_video::VideoFormat::HD720;
     let ctx = RunCtx {
@@ -790,20 +767,19 @@ fn run_batch(
             break;
         }
         // Phase-structured processing at `now`: drain queue events, then
-        // due wheel ticks, and repeat until neither has work. Every
-        // conference's own subsequence runs in (time, seq) order, so the
-        // interleaving with *other* conferences — the only thing that
-        // changes with shard count — cannot alter its state.
+        // due wheel ticks, and repeat until neither has work. Both drain
+        // in (time, seq) order, so the conference's event sequence is
+        // fixed by the conference alone.
         loop {
             let mut progressed = false;
             while let Some((at, ev)) = queue.pop_due(now) {
                 progressed = true;
-                process_event(queue, &mut confs, first as u32, &ctx, at, ev);
+                process_event(queue, &mut cs, &ctx, at, ev);
             }
             wheel.pop_due_into(now, due);
             for (at, te) in due.drain(..) {
                 progressed = true;
-                process_timer(queue, wheel, paced, &mut confs, first as u32, &ctx, at, te);
+                process_timer(queue, wheel, paced, &mut cs, &ctx, at, te);
             }
             if !progressed {
                 break;
@@ -811,11 +787,7 @@ fn run_batch(
         }
     }
 
-    confs
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| finalize_conference((first + i) as u32, c))
-        .collect()
+    finalize_conference(conf, cs)
 }
 
 fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
@@ -870,11 +842,9 @@ fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
 /// Offers `payload` to one of `m`'s private paths and schedules the
 /// delivery (and any impairment duplicate). Returns true when the packet
 /// was lost.
-#[allow(clippy::too_many_arguments)]
 fn send_private(
     queue: &mut EventQueue<FleetEvent>,
     m: &mut SessionState,
-    conf: u32,
     member: MemberId,
     now: SimTime,
     path: PathId,
@@ -893,11 +863,11 @@ fn send_private(
             // Original before the copy, mirroring the emulator's FIFO
             // tie-break.
             let dup = offer.duplicate.map(|copy_at| (copy_at, payload.clone()));
-            queue.schedule(at, FleetEvent::Deliver { conf, member, path, direction, payload });
+            queue.schedule(at, FleetEvent::Deliver { member, path, direction, payload });
             if let Some((copy_at, copy)) = dup {
                 queue.schedule(
                     copy_at,
-                    FleetEvent::Deliver { conf, member, path, direction, payload: copy },
+                    FleetEvent::Deliver { member, path, direction, payload: copy },
                 );
             }
             false
@@ -911,14 +881,13 @@ fn send_private(
 fn arm_pacer(
     wheel: &mut TimerWheel<TimerEvent>,
     m: &mut SessionState,
-    conf: u32,
     member: MemberId,
     now: SimTime,
 ) {
     if let Some(r) = m.pacer.next_release() {
         let r = r.max(now);
         if m.pacer_wakeup.is_none_or(|w| r < w) {
-            wheel.schedule(r, TimerEvent { conf, member, kind: TickKind::PacerPoll });
+            wheel.schedule(r, TimerEvent { member, kind: TickKind::PacerPoll });
             m.pacer_wakeup = Some(r);
         }
     }
@@ -954,15 +923,14 @@ fn record_receiver_event(
 
 fn process_event(
     queue: &mut EventQueue<FleetEvent>,
-    confs: &mut [ConferenceState],
-    base: u32,
+    cs: &mut ConferenceState,
     ctx: &RunCtx,
     now: SimTime,
     ev: FleetEvent,
 ) {
     match ev {
-        FleetEvent::Deliver { conf, member, path, direction, payload } => {
-            let ConferenceState { members, sfu, sbd, .. } = &mut confs[(conf - base) as usize];
+        FleetEvent::Deliver { member, path, direction, payload } => {
+            let ConferenceState { members, sfu, sbd, .. } = cs;
             let m = &mut members[member as usize];
             match (direction, payload) {
                 (Direction::Forward, NetPayload::Rtp(rtp)) => {
@@ -971,7 +939,7 @@ fn process_event(
                     let size = rtp.kind.wire_size();
                     match sfu.offer_ingress(member, now, size) {
                         Transmit::Delivered(at) => {
-                            queue.schedule(at, FleetEvent::SfuIngress { conf, member, path, rtp });
+                            queue.schedule(at, FleetEvent::SfuIngress { member, path, rtp });
                         }
                         _ => {
                             m.metrics
@@ -1022,15 +990,15 @@ fn process_event(
                 | (Direction::Reverse, NetPayload::Rtp(_)) => {}
             }
         }
-        FleetEvent::SfuIngress { conf, member, path, rtp } => {
-            let ConferenceState { members, sfu, sbd, .. } = &mut confs[(conf - base) as usize];
+        FleetEvent::SfuIngress { member, path, rtp } => {
+            let ConferenceState { members, sfu, sbd, .. } = cs;
             let n_members = members.len();
             let m = &mut members[member as usize];
             // Probes are echoed straight back over the member's own
             // reverse path.
             if let RtpKind::Probe { probe_seq } = rtp.kind {
                 let echo = NetPayload::ProbeEcho { probe_seq, probe_sent_at: rtp.sent_at };
-                send_private(queue, m, conf, member, now, path, Direction::Reverse, echo);
+                send_private(queue, m, member, now, path, Direction::Reverse, echo);
             }
             let media_payload = match &rtp.kind {
                 RtpKind::Media(p) if p.kind.is_media() => p.size,
@@ -1076,30 +1044,27 @@ fn process_event(
                         continue;
                     }
                     if let Transmit::Delivered(at) = sfu.offer_egress(now, fwd.size as usize) {
-                        queue.schedule(at, FleetEvent::SfuEgress { conf, dest, fwd });
+                        queue.schedule(at, FleetEvent::SfuEgress { dest, fwd });
                     }
                 }
             }
         }
-        FleetEvent::SfuEgress { conf, dest, fwd } => {
-            confs[(conf - base) as usize].members[dest as usize].viewer.on_forward(&fwd);
+        FleetEvent::SfuEgress { dest, fwd } => {
+            cs.members[dest as usize].viewer.on_forward(&fwd);
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn process_timer(
     queue: &mut EventQueue<FleetEvent>,
     wheel: &mut TimerWheel<TimerEvent>,
     paced: &mut Vec<OutboundPacket>,
-    confs: &mut [ConferenceState],
-    base: u32,
+    cs: &mut ConferenceState,
     ctx: &RunCtx,
     now: SimTime,
     te: TimerEvent,
 ) {
-    let TimerEvent { conf, member, kind } = te;
-    let cs = &mut confs[(conf - base) as usize];
+    let TimerEvent { member, kind } = te;
     match kind {
         TickKind::Frame(stream) => {
             let m = &mut cs.members[member as usize];
@@ -1114,9 +1079,9 @@ fn process_timer(
             m.pacer.enqueue(now, result.packets);
             wheel.schedule(
                 now + ctx.frame_interval,
-                TimerEvent { conf, member, kind: TickKind::Frame(stream) },
+                TimerEvent { member, kind: TickKind::Frame(stream) },
             );
-            arm_pacer(wheel, m, conf, member, now);
+            arm_pacer(wheel, m, member, now);
         }
         TickKind::PacerPoll => {
             let m = &mut cs.members[member as usize];
@@ -1140,7 +1105,6 @@ fn process_timer(
                 let lost = send_private(
                     queue,
                     m,
-                    conf,
                     member,
                     now,
                     out.path,
@@ -1154,39 +1118,39 @@ fn process_timer(
                         .on_packet_lost(out.path);
                 }
             }
-            arm_pacer(wheel, m, conf, member, now);
+            arm_pacer(wheel, m, member, now);
         }
         TickKind::ReceiverRtcp => {
             let m = &mut cs.members[member as usize];
             for (path, rtcp) in m.poll_rtcp(now, false) {
                 let payload = NetPayload::Rtcp(rtcp);
-                send_private(queue, m, conf, member, now, path, Direction::Reverse, payload);
+                send_private(queue, m, member, now, path, Direction::Reverse, payload);
             }
             wheel.schedule(
                 now + ctx.rtcp_interval,
-                TimerEvent { conf, member, kind: TickKind::ReceiverRtcp },
+                TimerEvent { member, kind: TickKind::ReceiverRtcp },
             );
         }
         TickKind::TransportRtcp => {
             let m = &mut cs.members[member as usize];
             for (path, rtcp) in m.poll_rtcp(now, true) {
                 let payload = NetPayload::Rtcp(rtcp);
-                send_private(queue, m, conf, member, now, path, Direction::Reverse, payload);
+                send_private(queue, m, member, now, path, Direction::Reverse, payload);
             }
             wheel.schedule(
                 now + ctx.transport_rtcp_interval,
-                TimerEvent { conf, member, kind: TickKind::TransportRtcp },
+                TimerEvent { member, kind: TickKind::TransportRtcp },
             );
         }
         TickKind::SenderRtcp => {
             let m = &mut cs.members[member as usize];
             for (path, rtcp) in m.sender.periodic_rtcp(now) {
                 let payload = NetPayload::Rtcp(rtcp);
-                send_private(queue, m, conf, member, now, path, Direction::Forward, payload);
+                send_private(queue, m, member, now, path, Direction::Forward, payload);
             }
             wheel.schedule(
                 now + SimDuration::from_millis(500),
-                TimerEvent { conf, member, kind: TickKind::SenderRtcp },
+                TimerEvent { member, kind: TickKind::SenderRtcp },
             );
         }
         TickKind::Sbd => {
@@ -1216,7 +1180,7 @@ fn process_timer(
                 }
                 wheel.schedule(
                     now + d.interval(),
-                    TimerEvent { conf, member: 0, kind: TickKind::Sbd },
+                    TimerEvent { member: 0, kind: TickKind::Sbd },
                 );
             }
         }
@@ -1230,7 +1194,6 @@ mod tests {
     fn small_cfg() -> FleetConfig {
         let mut cfg = FleetConfig::new(9, 3);
         cfg.duration = SimDuration::from_secs(6);
-        cfg.batch_conferences = 1;
         cfg.trace_conferences = 1;
         cfg.seed = 42;
         cfg
@@ -1276,15 +1239,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_does_not_change_the_fold() {
-        let base = FleetEngine::new(small_cfg()).run();
-        let mut cfg = small_cfg();
-        cfg.batch_conferences = 8;
-        let batched = FleetEngine::new(cfg).run();
-        assert_eq!(base.fold_text(), batched.fold_text());
-    }
-
-    #[test]
     fn invariants_hold_across_the_fleet() {
         let mut cfg = small_cfg();
         cfg.check_invariants = true;
@@ -1319,6 +1273,22 @@ mod tests {
         assert!(st.queue_high_water > 0);
         assert!(st.wheel.high_water > 0);
         assert_eq!(st.batches, 3);
+    }
+
+    #[test]
+    fn shard_queue_holds_one_conference_at_a_time() {
+        // A shard's queue high-water is one conference's in-flight
+        // packets, however many conferences the shard runs.
+        let high_water = |sessions| {
+            let mut cfg = FleetConfig::new(sessions, 4);
+            cfg.duration = SimDuration::from_secs(4);
+            cfg.seed = 2024;
+            FleetEngine::new(cfg).run().shard_stats[0].queue_high_water
+        };
+        let one = high_water(4);
+        let sixteen = high_water(64);
+        assert!(one > 0);
+        assert!(sixteen < 2 * one, "16 conferences {sixteen} vs one {one}");
     }
 
     #[test]
