@@ -4,8 +4,9 @@
 # work-stealing pool, the memo cache, and the bench-report writer), a
 # traced experiment run with JSONL timeline validation, the chaos
 # fault-injection matrix with the invariant checker armed, a fleet-engine
-# smoke cell with invariants armed on every member, and the two perf
-# ratchets (fig11 event loop, 1000-session fleet cell).
+# smoke cell with invariants armed on every member, the two-way (duplex)
+# example, and the two perf ratchets (fig11 event loop, 1000-session
+# fleet cell).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -81,6 +82,12 @@ cargo run --release -p converge-bench --bin experiments -- \
     fleet --quick --sessions 200 --conference-size 4 --shards 1 \
     --check-invariants > results/smoke_fleet_1shard.txt
 cmp results/smoke_fleet.txt results/smoke_fleet_1shard.txt
+
+# Duplex smoke run: the two-way example is the only caller of
+# DuplexSession; run it end to end and check both directions report.
+cargo run --release -p converge-sim --example two_way_call > results/smoke_two_way.txt
+grep -q 'A -> B' results/smoke_two_way.txt
+grep -q 'B -> A' results/smoke_two_way.txt
 
 # Idle-skip equivalence gate: chaos + drive scenario generators, idle-skip
 # off vs on must produce byte-identical trace streams and QoE folds. The

@@ -54,21 +54,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use converge_cc::{ControllerConfig, SbdDetector};
-use converge_core::PacketClass;
 use converge_net::{
     event::EventQueue, Direction, ForwardPacket, MemberId, Path, PathId, SfuConfig, SfuNode,
     SfuStats, SimDuration, SimTime, TimerWheel, TimerWheelStats, Transmit,
 };
-use converge_rtp::RtcpPacket;
 use converge_trace::{jsonl, InvariantSink, RingSink, TraceEvent, TraceHandle};
 use converge_video::{FrameType, PacketKind};
 
-use crate::metrics::{CallReport, MetricsCollector};
-use crate::pacer::{Pacer, PacerConfig};
-use crate::payload::{NetPayload, RtpKind, SimRtp};
-use crate::receiver::{ConferenceReceiver, ReceiverEvent};
+use crate::flow::{Flow, FlowNet, FlowSpec, FRAME_INTERVAL, SR_INTERVAL};
+use crate::metrics::CallReport;
+use crate::payload::{NetPayload, SimRtp};
 use crate::scenarios::{FecKind, PathSpec, SchedulerKind};
-use crate::sender::{ConferenceSender, OutboundPacket, SenderSizing};
+use crate::sender::SenderSizing;
 
 /// Receiver `recent` ring size for fleet members: every hit is verified
 /// against the stored sequence, so the small ring only shortens the FEC
@@ -243,7 +240,6 @@ struct ShardCore {
     queue: EventQueue<FleetEvent>,
     wheel: TimerWheel<TimerEvent>,
     due: Vec<(SimTime, TimerEvent)>,
-    paced: Vec<OutboundPacket>,
     conferences: u64,
 }
 
@@ -253,7 +249,6 @@ impl ShardCore {
             queue: EventQueue::new(),
             wheel: TimerWheel::new(),
             due: Vec::new(),
-            paced: Vec::new(),
             conferences: 0,
         }
     }
@@ -262,7 +257,6 @@ impl ShardCore {
         self.queue.clear();
         self.wheel.clear();
         self.due.clear();
-        self.paced.clear();
         self.conferences += 1;
     }
 
@@ -325,16 +319,11 @@ impl ViewerState {
     }
 }
 
-/// One member's full session pipeline, minus the per-session event
-/// machinery the shard provides.
+/// One member: its uplink flow (sender at the member, receiver at the
+/// SFU) over its private paths, plus its viewer side.
 struct SessionState {
-    sender: ConferenceSender,
-    receiver: ConferenceReceiver,
+    flow: Flow,
     paths: Vec<Path>,
-    pacer: Pacer,
-    metrics: Option<MetricsCollector>,
-    sr_seen: BTreeMap<PathId, (u64, SimTime)>,
-    trace: TraceHandle,
     ring: Option<Arc<RingSink>>,
     checker: Option<Arc<InvariantSink>>,
     /// Earliest armed pacer wake-up, to keep wheel entries deduplicated.
@@ -343,8 +332,59 @@ struct SessionState {
 }
 
 impl SessionState {
-    fn poll_rtcp(&mut self, now: SimTime, include_transport: bool) -> Vec<(PathId, RtcpPacket)> {
-        self.receiver.poll_rtcp_with(now, &self.sr_seen, include_transport)
+    /// Splits the member into its flow and the network that flow sends on.
+    fn split<'a>(
+        &'a mut self,
+        queue: &'a mut EventQueue<FleetEvent>,
+        member: MemberId,
+    ) -> (&'a mut Flow, MemberNet<'a>) {
+        let net = MemberNet { queue, paths: &mut self.paths, member };
+        (&mut self.flow, net)
+    }
+}
+
+/// A member's private paths feeding the shard queue: where its flow
+/// sends.
+struct MemberNet<'a> {
+    queue: &'a mut EventQueue<FleetEvent>,
+    paths: &'a mut [Path],
+    member: MemberId,
+}
+
+impl FlowNet for MemberNet<'_> {
+    /// Offers `payload` to one of the member's private paths and schedules
+    /// the delivery (and any impairment duplicate).
+    fn transmit(
+        &mut self,
+        path: PathId,
+        direction: Direction,
+        now: SimTime,
+        payload: NetPayload,
+    ) -> bool {
+        let size = payload.wire_size();
+        let p = self
+            .paths
+            .iter_mut()
+            .find(|p| p.id() == path)
+            .unwrap_or_else(|| panic!("send on unknown {path}"));
+        let offer = p.offer(direction, now, size);
+        match offer.fate {
+            Transmit::Delivered(at) => {
+                // Original before the copy, mirroring the emulator's FIFO
+                // tie-break.
+                let member = self.member;
+                let dup = offer.duplicate.map(|copy_at| (copy_at, payload.clone()));
+                self.queue.schedule(at, FleetEvent::Deliver { member, path, direction, payload });
+                if let Some((copy_at, copy)) = dup {
+                    self.queue.schedule(
+                        copy_at,
+                        FleetEvent::Deliver { member, path, direction, payload: copy },
+                    );
+                }
+                false
+            }
+            _ => true,
+        }
     }
 }
 
@@ -523,14 +563,10 @@ impl FleetReport {
     }
 }
 
-/// Per-run timing constants shared by the event handlers.
-struct RunCtx {
-    frame_interval: SimDuration,
-    rtcp_interval: SimDuration,
-    transport_rtcp_interval: SimDuration,
-    end: SimTime,
-    sbd: bool,
-}
+/// Fast (QoE, NACK, PLI) and transport-feedback RTCP intervals of every
+/// member's receiver.
+const RTCP_INTERVAL: SimDuration = SimDuration::from_millis(100);
+const TRANSPORT_RTCP_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
 /// One conference's finished outcome as produced by a shard.
 struct ConferenceOutcome {
@@ -627,8 +663,17 @@ fn build_conference(
     wheel: &mut TimerWheel<TimerEvent>,
 ) -> ConferenceState {
     let n_members = cfg.members_of(conf as usize);
-    let format = converge_video::VideoFormat::HD720;
-    let frame_interval = SimDuration::from_micros(1_000_000 / format.fps as u64);
+    let spec = FlowSpec {
+        streams: cfg.streams,
+        scheduler: cfg.scheduler,
+        fec: cfg.fec,
+        controller: cfg.controller,
+        max_encoding_rate_bps: cfg.max_encoding_rate_bps,
+        coupled_cc: false,
+        duration: cfg.duration,
+        sizing: SenderSizing::fleet(),
+        recent_slots: FLEET_RECENT_SLOTS,
+    };
     let mut sfu = SfuNode::new(SfuConfig::for_bottleneck(
         cfg.bottleneck_ingress_bps,
         n_members.saturating_sub(1),
@@ -642,23 +687,6 @@ fn build_conference(
         let path_ids: Vec<PathId> = paths.iter().map(|p| p.id()).collect();
         sfu.register_member(&path_ids);
 
-        let mut sender = ConferenceSender::new_sized(
-            cfg.streams,
-            &path_ids,
-            cfg.scheduler.build(frame_interval),
-            cfg.fec.build(),
-            cfg.controller,
-            cfg.max_encoding_rate_bps,
-            SenderSizing::fleet(),
-        );
-        let mut receiver = ConferenceReceiver::new_sized(
-            cfg.streams,
-            &path_ids,
-            format.fps,
-            path_ids[0],
-            FLEET_RECENT_SLOTS,
-        );
-
         let ring = sampled.then(|| Arc::new(RingSink::new(4096)));
         let inner = match &ring {
             Some(r) => TraceHandle::new(r.clone() as Arc<dyn converge_trace::TraceSink>),
@@ -670,15 +698,6 @@ fn build_conference(
         } else {
             (inner, None)
         };
-        sender.set_trace(trace.clone());
-        receiver.set_trace(trace.clone());
-
-        let metrics = MetricsCollector::new(
-            cfg.duration,
-            format,
-            cfg.max_encoding_rate_bps,
-            cfg.streams,
-        );
 
         // Stagger every member's timers so frames across the fleet do not
         // land on the same wheel tick. Derived from the *global* member
@@ -705,13 +724,8 @@ fn build_conference(
         );
 
         members.push(SessionState {
-            sender,
-            receiver,
+            flow: Flow::new(&spec, &path_ids, Direction::Forward, trace),
             paths,
-            pacer: Pacer::new(PacerConfig::default()),
-            metrics: Some(metrics),
-            sr_seen: BTreeMap::new(),
-            trace,
             ring,
             checker,
             pacer_wakeup: None,
@@ -726,7 +740,7 @@ fn build_conference(
             TimerEvent { member: 0, kind: TickKind::Sbd },
         );
     }
-    let trace = members[0].trace.clone();
+    let trace = members[0].flow.trace.clone();
     ConferenceState {
         members,
         sfu,
@@ -741,17 +755,9 @@ fn build_conference(
 /// them, runs it to completion, and finalizes its report.
 fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> ConferenceOutcome {
     core.reset();
-    let ShardCore { queue, wheel, due, paced, .. } = core;
+    let ShardCore { queue, wheel, due, .. } = core;
     let mut cs = build_conference(cfg, conf, wheel);
-
-    let format = converge_video::VideoFormat::HD720;
-    let ctx = RunCtx {
-        frame_interval: SimDuration::from_micros(1_000_000 / format.fps as u64),
-        rtcp_interval: SimDuration::from_millis(100),
-        transport_rtcp_interval: SimDuration::from_millis(250),
-        end: SimTime::ZERO + cfg.duration,
-        sbd: cfg.sbd,
-    };
+    let end = SimTime::ZERO + cfg.duration;
 
     let mut clock = SimTime::ZERO;
     loop {
@@ -763,7 +769,7 @@ fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> Confere
         };
         let now = now.max(clock);
         clock = now;
-        if now >= ctx.end {
+        if now >= end {
             break;
         }
         // Phase-structured processing at `now`: drain queue events, then
@@ -774,12 +780,12 @@ fn run_conference(core: &mut ShardCore, cfg: &FleetConfig, conf: u32) -> Confere
             let mut progressed = false;
             while let Some((at, ev)) = queue.pop_due(now) {
                 progressed = true;
-                process_event(queue, &mut cs, &ctx, at, ev);
+                process_event(queue, &mut cs, at, ev);
             }
             wheel.pop_due_into(now, due);
             for (at, te) in due.drain(..) {
                 progressed = true;
-                process_timer(queue, wheel, paced, &mut cs, &ctx, at, te);
+                process_timer(queue, wheel, &mut cs, at, te);
             }
             if !progressed {
                 break;
@@ -796,7 +802,7 @@ fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
     let mut violations = 0;
     let sfu = c.sfu.stats();
     for (m, member) in c.members.into_iter().enumerate() {
-        let report = member.metrics.expect("metrics live until finalize").finish();
+        let report = member.flow.metrics.finish();
         sessions.push(FleetSessionReport {
             conf,
             member: m as u16,
@@ -839,43 +845,6 @@ fn finalize_conference(conf: u32, c: ConferenceState) -> ConferenceOutcome {
     }
 }
 
-/// Offers `payload` to one of `m`'s private paths and schedules the
-/// delivery (and any impairment duplicate). Returns true when the packet
-/// was lost.
-fn send_private(
-    queue: &mut EventQueue<FleetEvent>,
-    m: &mut SessionState,
-    member: MemberId,
-    now: SimTime,
-    path: PathId,
-    direction: Direction,
-    payload: NetPayload,
-) -> bool {
-    let size = payload.wire_size();
-    let p = m
-        .paths
-        .iter_mut()
-        .find(|p| p.id() == path)
-        .unwrap_or_else(|| panic!("send on unknown {path}"));
-    let offer = p.offer(direction, now, size);
-    match offer.fate {
-        Transmit::Delivered(at) => {
-            // Original before the copy, mirroring the emulator's FIFO
-            // tie-break.
-            let dup = offer.duplicate.map(|copy_at| (copy_at, payload.clone()));
-            queue.schedule(at, FleetEvent::Deliver { member, path, direction, payload });
-            if let Some((copy_at, copy)) = dup {
-                queue.schedule(
-                    copy_at,
-                    FleetEvent::Deliver { member, path, direction, payload: copy },
-                );
-            }
-            false
-        }
-        _ => true,
-    }
-}
-
 /// Re-arms the member's pacer wake-up if its next release is earlier than
 /// anything already armed.
 fn arm_pacer(
@@ -884,7 +853,7 @@ fn arm_pacer(
     member: MemberId,
     now: SimTime,
 ) {
-    if let Some(r) = m.pacer.next_release() {
+    if let Some(r) = m.flow.pacer.next_release() {
         let r = r.max(now);
         if m.pacer_wakeup.is_none_or(|w| r < w) {
             wheel.schedule(r, TimerEvent { member, kind: TickKind::PacerPoll });
@@ -893,38 +862,9 @@ fn arm_pacer(
     }
 }
 
-/// Mirrors `Session::record_receiver_event` for a fleet member.
-fn record_receiver_event(
-    metrics: &mut MetricsCollector,
-    trace: &TraceHandle,
-    now: SimTime,
-    ev: ReceiverEvent,
-) {
-    match ev {
-        ReceiverEvent::FrameDecoded { stream, at, e2e } => {
-            trace.emit(
-                now,
-                TraceEvent::FrameDecoded { stream: stream.0, e2e_us: e2e.as_micros() },
-            );
-            if let Some(gap) = metrics.on_frame_decoded(stream, at, e2e) {
-                trace.emit(now, TraceEvent::FrameFrozen { gap_us: gap.as_micros() });
-            }
-        }
-        ReceiverEvent::FrameDropped { stream, .. } => {
-            trace.emit(now, TraceEvent::FrameDropped { stream: stream.0 });
-            metrics.on_frame_dropped(now);
-        }
-        ReceiverEvent::Ifd { at, ifd } => metrics.on_ifd(at, ifd),
-        ReceiverEvent::Fcd { at, fcd } => metrics.on_fcd(at, fcd),
-        ReceiverEvent::FecRecovered => metrics.on_fec_used(),
-        ReceiverEvent::FecReceived => metrics.on_fec_received(),
-    }
-}
-
 fn process_event(
     queue: &mut EventQueue<FleetEvent>,
     cs: &mut ConferenceState,
-    ctx: &RunCtx,
     now: SimTime,
     ev: FleetEvent,
 ) {
@@ -942,83 +882,30 @@ fn process_event(
                             queue.schedule(at, FleetEvent::SfuIngress { member, path, rtp });
                         }
                         _ => {
-                            m.metrics
-                                .as_mut()
-                                .expect("metrics live during run")
-                                .on_packet_lost(path);
-                            if ctx.sbd {
-                                if let Some(d) = sbd {
-                                    d.on_loss(member as usize);
-                                }
+                            m.flow.metrics.on_packet_lost(path);
+                            if let Some(d) = sbd {
+                                d.on_loss(member as usize);
                             }
                         }
                     }
                 }
-                (Direction::Forward, NetPayload::Rtcp(rtcp)) => {
-                    // Control plane bypasses the media bottleneck (the SFU
-                    // prioritizes its control queue).
-                    match &rtcp {
-                        RtcpPacket::SenderReport(sr) => {
-                            m.sr_seen.insert(PathId(sr.path_id), (sr.ntp_micros / 1_000, now));
-                        }
-                        RtcpPacket::Sdes(sdes) => {
-                            if let Some(fr) = sdes.frame_rate {
-                                m.receiver.on_sdes_frame_rate(fr as u32);
-                            }
-                        }
-                        _ => {}
-                    }
+                // Control plane bypasses the media bottleneck (the SFU
+                // prioritizes its control queue).
+                (_, payload) => {
+                    let (flow, mut net) = m.split(queue, member);
+                    flow.deliver(&mut net, now, path, payload);
                 }
-                (Direction::Reverse, NetPayload::Rtcp(rtcp)) => {
-                    let metrics = m.metrics.as_mut().expect("metrics live during run");
-                    if let RtcpPacket::Nack(ref n) = rtcp {
-                        metrics.on_nack_sent(n.lost.len());
-                        m.trace.emit(
-                            now,
-                            TraceEvent::NackSent { path, packets: n.lost.len() as u32 },
-                        );
-                    }
-                    if matches!(rtcp, RtcpPacket::Pli(_)) {
-                        metrics.on_keyframe_request();
-                    }
-                    m.sender.on_rtcp(now, &rtcp);
-                }
-                (Direction::Reverse, NetPayload::ProbeEcho { probe_seq, .. }) => {
-                    m.sender.on_probe_echo(now, probe_seq);
-                }
-                (Direction::Forward, NetPayload::ProbeEcho { .. })
-                | (Direction::Reverse, NetPayload::Rtp(_)) => {}
             }
         }
         FleetEvent::SfuIngress { member, path, rtp } => {
             let ConferenceState { members, sfu, sbd, .. } = cs;
             let n_members = members.len();
-            let m = &mut members[member as usize];
-            // Probes are echoed straight back over the member's own
-            // reverse path.
-            if let RtpKind::Probe { probe_seq } = rtp.kind {
-                let echo = NetPayload::ProbeEcho { probe_seq, probe_sent_at: rtp.sent_at };
-                send_private(queue, m, member, now, path, Direction::Reverse, echo);
-            }
-            let media_payload = match &rtp.kind {
-                RtpKind::Media(p) if p.kind.is_media() => p.size,
-                RtpKind::Retransmission(p) if p.kind.is_media() => p.size,
-                _ => 0,
-            };
-            let metrics = m.metrics.as_mut().expect("metrics live during run");
-            metrics.on_packet_received(now, path, media_payload);
-            if ctx.sbd {
-                if let Some(d) = sbd {
-                    d.on_owd_sample(member as usize, rtp.sent_at, now);
-                }
-            }
-            for ev in m.receiver.on_rtp(now, &rtp) {
-                record_receiver_event(
-                    m.metrics.as_mut().expect("metrics live during run"),
-                    &m.trace,
-                    now,
-                    ev,
-                );
+            // The SFU-side receiver echoes probes over the member's own
+            // reverse path and observes the uplink QoE.
+            let (flow, mut net) = members[member as usize].split(queue, member);
+            flow.on_rtp(&mut net, now, path, &rtp);
+            if let Some(d) = sbd {
+                d.on_owd_sample(member as usize, rtp.sent_at, now);
             }
             // Fan the media out to every other member over the shared
             // egress bottleneck: descriptors only, never payload bytes.
@@ -1058,133 +945,69 @@ fn process_event(
 fn process_timer(
     queue: &mut EventQueue<FleetEvent>,
     wheel: &mut TimerWheel<TimerEvent>,
-    paced: &mut Vec<OutboundPacket>,
     cs: &mut ConferenceState,
-    ctx: &RunCtx,
     now: SimTime,
     te: TimerEvent,
 ) {
     let TimerEvent { member, kind } = te;
+    let m = &mut cs.members[member as usize];
     match kind {
         TickKind::Frame(stream) => {
-            let m = &mut cs.members[member as usize];
-            let result = m.sender.on_frame_tick(now, stream as usize);
-            m.metrics
-                .as_mut()
-                .expect("metrics live during run")
-                .on_frame_encoded(now, result.qp, result.height);
-            for pm in m.sender.path_metrics() {
-                m.pacer.set_rate(pm.id, pm.rate_bps as f64);
-            }
-            m.pacer.enqueue(now, result.packets);
-            wheel.schedule(
-                now + ctx.frame_interval,
-                TimerEvent { member, kind: TickKind::Frame(stream) },
-            );
+            m.flow.on_frame_tick(now, stream as usize);
+            wheel.schedule(now + FRAME_INTERVAL, te);
             arm_pacer(wheel, m, member, now);
         }
         TickKind::PacerPoll => {
-            let m = &mut cs.members[member as usize];
             if m.pacer_wakeup == Some(now) {
                 m.pacer_wakeup = None;
             }
-            m.pacer.poll_into(now, paced);
-            for out in paced.drain(..) {
-                let size = out.payload.wire_size();
-                let is_fec = out.class == PacketClass::Fec;
-                let is_media = matches!(
-                    &out.payload,
-                    NetPayload::Rtp(r) if r.kind.video_packet().is_some()
-                );
-                let metrics = m.metrics.as_mut().expect("metrics live during run");
-                metrics.on_packet_sent(now, out.path, size, is_fec, is_media);
-                if out.class == PacketClass::Retransmission {
-                    metrics.on_retransmission();
-                    m.trace.emit(now, TraceEvent::Retransmitted { path: out.path });
-                }
-                let lost = send_private(
-                    queue,
-                    m,
-                    member,
-                    now,
-                    out.path,
-                    Direction::Forward,
-                    out.payload,
-                );
-                if lost {
-                    m.metrics
-                        .as_mut()
-                        .expect("metrics live during run")
-                        .on_packet_lost(out.path);
-                }
-            }
+            let (flow, mut net) = m.split(queue, member);
+            flow.poll_pacer(&mut net, now);
             arm_pacer(wheel, m, member, now);
         }
-        TickKind::ReceiverRtcp => {
-            let m = &mut cs.members[member as usize];
-            for (path, rtcp) in m.poll_rtcp(now, false) {
-                let payload = NetPayload::Rtcp(rtcp);
-                send_private(queue, m, member, now, path, Direction::Reverse, payload);
-            }
-            wheel.schedule(
-                now + ctx.rtcp_interval,
-                TimerEvent { member, kind: TickKind::ReceiverRtcp },
-            );
-        }
-        TickKind::TransportRtcp => {
-            let m = &mut cs.members[member as usize];
-            for (path, rtcp) in m.poll_rtcp(now, true) {
-                let payload = NetPayload::Rtcp(rtcp);
-                send_private(queue, m, member, now, path, Direction::Reverse, payload);
-            }
-            wheel.schedule(
-                now + ctx.transport_rtcp_interval,
-                TimerEvent { member, kind: TickKind::TransportRtcp },
-            );
+        TickKind::ReceiverRtcp | TickKind::TransportRtcp => {
+            let transport = matches!(kind, TickKind::TransportRtcp);
+            let (flow, mut net) = m.split(queue, member);
+            flow.receiver_rtcp(&mut net, now, transport);
+            let interval = if transport { TRANSPORT_RTCP_INTERVAL } else { RTCP_INTERVAL };
+            wheel.schedule(now + interval, te);
         }
         TickKind::SenderRtcp => {
-            let m = &mut cs.members[member as usize];
-            for (path, rtcp) in m.sender.periodic_rtcp(now) {
-                let payload = NetPayload::Rtcp(rtcp);
-                send_private(queue, m, member, now, path, Direction::Forward, payload);
-            }
-            wheel.schedule(
-                now + SimDuration::from_millis(500),
-                TimerEvent { member, kind: TickKind::SenderRtcp },
-            );
+            let (flow, mut net) = m.split(queue, member);
+            flow.sender_rtcp(&mut net, now);
+            wheel.schedule(now + SR_INTERVAL, te);
         }
-        TickKind::Sbd => {
-            let ConferenceState { members, sbd, sbd_groups, sbd_changes, trace, .. } = cs;
-            if let Some(d) = sbd {
-                d.close_interval();
-                if d.intervals_closed() >= SBD_WARMUP_INTERVALS {
-                    let groups = d.groups();
-                    if groups != *sbd_groups {
-                        let scales = d.increase_scales();
-                        for (i, m) in members.iter_mut().enumerate() {
-                            m.sender.set_increase_scale_all(scales[i]);
-                        }
-                        let coupled: usize =
-                            groups.iter().filter(|g| g.len() > 1).map(|g| g.len()).sum();
-                        trace.emit(
-                            now,
-                            TraceEvent::SbdGroupsChanged {
-                                flows: members.len() as u32,
-                                groups: groups.len() as u32,
-                                coupled: coupled as u32,
-                            },
-                        );
-                        *sbd_groups = groups;
-                        *sbd_changes += 1;
-                    }
-                }
-                wheel.schedule(
-                    now + d.interval(),
-                    TimerEvent { member: 0, kind: TickKind::Sbd },
-                );
+        TickKind::Sbd => sbd_tick(wheel, cs, now),
+    }
+}
+
+/// Closes the conference's SBD interval and, past warm-up, applies a
+/// changed grouping as coupled controller growth.
+fn sbd_tick(wheel: &mut TimerWheel<TimerEvent>, cs: &mut ConferenceState, now: SimTime) {
+    let ConferenceState { members, sbd, sbd_groups, sbd_changes, trace, .. } = cs;
+    let Some(d) = sbd else { return };
+    d.close_interval();
+    if d.intervals_closed() >= SBD_WARMUP_INTERVALS {
+        let groups = d.groups();
+        if groups != *sbd_groups {
+            let scales = d.increase_scales();
+            for (m, &scale) in members.iter_mut().zip(&scales) {
+                m.flow.sender.set_increase_scale_all(scale);
             }
+            let coupled: usize = groups.iter().filter(|g| g.len() > 1).map(|g| g.len()).sum();
+            trace.emit(
+                now,
+                TraceEvent::SbdGroupsChanged {
+                    flows: members.len() as u32,
+                    groups: groups.len() as u32,
+                    coupled: coupled as u32,
+                },
+            );
+            *sbd_groups = groups;
+            *sbd_changes += 1;
         }
     }
+    wheel.schedule(now + d.interval(), TimerEvent { member: 0, kind: TickKind::Sbd });
 }
 
 #[cfg(test)]

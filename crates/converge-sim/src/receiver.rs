@@ -92,7 +92,7 @@ impl PathRxState {
 /// Per-stream receive pipeline.
 /// Slots in the per-stream `recent` ring (a power of two so the index is
 /// a mask).
-const RECENT_SLOTS: usize = 1 << 12;
+pub(crate) const RECENT_SLOTS: usize = 1 << 12;
 
 struct StreamRx {
     packet_buffer: PacketBuffer,
